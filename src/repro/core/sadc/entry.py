@@ -15,6 +15,7 @@ Entries are immutable and hashable so the generator can dedup candidates.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -43,21 +44,30 @@ class DictEntry:
     bound_regs: Tuple[Tuple[int, int, int], ...] = ()
     bound_imm16: Tuple[Tuple[int, int], ...] = ()
     bound_imm26: Tuple[Tuple[int, int], ...] = ()
+    # Derived once in __post_init__; excluded from ==, hash and repr, so
+    # two entries with the same fields stay equal and print the same.
+    #: Number of base opcodes the entry expands to.
+    length: int = field(init=False, repr=False, compare=False)
+    #: Parse preference, ``(length, bindings)``: greedy parsing tries
+    #: higher ranks first, since they remove more stream content.
+    rank: Tuple[int, int] = field(init=False, repr=False, compare=False)
+    #: Decoder-table storage this entry consumes.
+    storage_bits: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def length(self) -> int:
-        """Number of base opcodes the entry expands to."""
-        return len(self.opcodes)
-
-    @property
-    def storage_bits(self) -> int:
-        """Decoder-table storage this entry consumes."""
-        return (
-            OPCODE_BITS * len(self.opcodes)
+    def __post_init__(self) -> None:
+        length = len(self.opcodes)
+        set_field = object.__setattr__
+        set_field(self, "length", length)
+        set_field(self, "rank", (
+            length,
+            len(self.bound_regs) + len(self.bound_imm16) + len(self.bound_imm26),
+        ))
+        set_field(self, "storage_bits", (
+            OPCODE_BITS * length
             + BOUND_REG_BITS * len(self.bound_regs)
             + BOUND_IMM16_BITS * len(self.bound_imm16)
             + BOUND_IMM26_BITS * len(self.bound_imm26)
-        )
+        ))
 
     def reg_binding(self, instr_index: int, slot_index: int) -> Optional[int]:
         """Bound value of a register slot, or None if it streams."""
@@ -136,8 +146,11 @@ class Dictionary:
         self.max_entries = max_entries
         self.entries: List[DictEntry] = []
         self._known: Dict[DictEntry, int] = {}
-        #: first base opcode -> entry indices, longest/most-bound first.
+        #: first base opcode -> entry indices, highest rank first; equal
+        #: ranks keep insertion order.
         self._by_first: Dict[int, List[int]] = {}
+        #: the negated ranks of each ``_by_first`` bucket, for bisection.
+        self._bucket_keys: Dict[int, List[Tuple[int, int]]] = {}
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -158,19 +171,16 @@ class Dictionary:
         index = len(self.entries)
         self.entries.append(entry)
         self._known[entry] = index
-        bucket = self._by_first.setdefault(entry.opcodes[0], [])
-        bucket.append(index)
-        # Longest coverage first, then most bindings: greedy parsing
-        # prefers the entry that removes the most stream content.
-        bucket.sort(
-            key=lambda i: (
-                self.entries[i].length,
-                len(self.entries[i].bound_regs)
-                + len(self.entries[i].bound_imm16)
-                + len(self.entries[i].bound_imm26),
-            ),
-            reverse=True,
-        )
+        # Highest rank first; a new entry goes after its equals, so an
+        # entry never displaces an equal-rank one already chosen by a
+        # parse (the incremental builder's reparse rule relies on it).
+        first = entry.opcodes[0]
+        keys = self._bucket_keys.setdefault(first, [])
+        length, bindings = entry.rank
+        key = (-length, -bindings)
+        at = bisect_right(keys, key)
+        keys.insert(at, key)
+        self._by_first.setdefault(first, []).insert(at, index)
         return index
 
     def candidates_starting_with(self, opcode: int) -> List[int]:

@@ -5,10 +5,10 @@ Pipeline (Section 4 of the paper):
 1. Decode the program into instruction records; split the streams
    (opcode / register / 16-bit immediate / 26-bit immediate).
 2. **Dictionary generation + parsing** — start from all single opcodes;
-   repeatedly re-parse the program with the current dictionary, gather
-   candidates (adjacent token pairs and triples; register-value and
-   immediate-value specialisations), insert those with the largest gain,
-   until the 256-entry cap or no positive gain remains.
+   parse every block greedily, count candidates (adjacent token pairs
+   and triples; register-value and immediate-value specialisations),
+   insert those with the largest gain, and repeat until the 256-entry
+   cap or no positive gain remains.
 3. **Final entropy coding** — Huffman-code the dictionary-index stream
    and the surviving operand streams ("The final step of our compression
    is to encode all resulting compressed streams by using Huffman
@@ -25,8 +25,19 @@ Deviations from the paper, both documented in DESIGN.md:
   approximation ``g = f(n−1) − n``; same greedy spirit, slightly more
   accurate bookkeeping.
 * Instead of erasing and regrowing the dictionary each cycle, we keep it
-  and re-parse — equivalent outcome, far fewer passes; a
-  ``batch_inserts`` knob trades generator fidelity for speed.
+  — equivalent outcome, far fewer passes; a ``batch_inserts`` knob
+  trades generator fidelity for speed.
+
+The builder is incremental.  Parses and candidate counts carry over
+from cycle to cycle, the counts as per-block contributions.  After a
+cycle's inserts, a block is reparsed only if a new entry matches at one
+of its token starts and strictly outranks, by (length, bindings), the
+entry chosen there; the reparse starts at that token.  This is exact
+because :meth:`Dictionary.add` puts a new entry after every entry of
+equal rank.  Candidates are walked by gain (descending), then category
+(pair, triple, reg, imm16, imm26), then first occurrence in block,
+token, instruction and slot order: the order of recounting everything
+from scratch, so the dictionary comes out entry for entry the same.
 """
 
 from __future__ import annotations
@@ -38,7 +49,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.bitstream.fields import chunk_words, words_to_bytes
 from repro.bitstream.io import BitReader, BitWriter
 from repro.core.lat import CompressedImage
-from repro.core.sadc.entry import DictEntry, Dictionary
+from repro.core.sadc.entry import (
+    BOUND_IMM16_BITS,
+    BOUND_IMM26_BITS,
+    BOUND_REG_BITS,
+    DictEntry,
+    Dictionary,
+)
+from repro.core.sadc.growth import CandidateCounts, GainLevels, Key
 from repro.entropy.huffman import (
     HuffmanCode,
     HuffmanDecoder,
@@ -112,13 +130,13 @@ class InstrRec:
 ParsedToken = Tuple[int, int]
 
 
-def _entry_matches(entry: DictEntry, instrs: Sequence[InstrRec], pos: int) -> bool:
-    if pos + entry.length > len(instrs):
+def _entry_matches(
+    entry: DictEntry, instrs: Sequence[InstrRec], ops: Tuple[int, ...], pos: int
+) -> bool:
+    """Whether ``entry`` matches ``instrs`` at ``pos``; ``ops`` holds
+    the instructions' opcode ids."""
+    if ops[pos : pos + entry.length] != entry.opcodes:
         return False
-    for j, opcode in enumerate(entry.opcodes):
-        rec = instrs[pos + j]
-        if rec.opcode_id != opcode:
-            return False
     for j, slot, value in entry.bound_regs:
         if instrs[pos + j].regs[slot] != value:
             return False
@@ -132,25 +150,35 @@ def _entry_matches(entry: DictEntry, instrs: Sequence[InstrRec], pos: int) -> bo
 
 
 def parse_block(
-    dictionary: Dictionary, instrs: Sequence[InstrRec]
+    dictionary: Dictionary, instrs: Sequence[InstrRec], start: int = 0
 ) -> List[ParsedToken]:
-    """Greedy longest-match parse of one block's instructions."""
+    """Greedy longest-match parse of one block's instructions.
+
+    ``start`` resumes the parse at that instruction, which must be a
+    token start of an earlier parse of the same block.
+    """
+    ops = tuple(rec.opcode_id for rec in instrs)
+    entries = dictionary.entries
     tokens: List[ParsedToken] = []
-    pos = 0
-    while pos < len(instrs):
+    pos = start
+    while pos < len(ops):
         chosen = None
-        for index in dictionary.candidates_starting_with(instrs[pos].opcode_id):
-            if _entry_matches(dictionary.entries[index], instrs, pos):
+        for index in dictionary.candidates_starting_with(ops[pos]):
+            if _entry_matches(entries[index], instrs, ops, pos):
                 chosen = index
                 break
         if chosen is None:
             raise ValueError(
                 f"no dictionary entry matches opcode id "
-                f"{instrs[pos].opcode_id} — singles must be seeded first"
+                f"{ops[pos]} — singles must be seeded first"
             )
         tokens.append((chosen, pos))
-        pos += dictionary.entries[chosen].length
+        pos += entries[chosen].length
     return tokens
+
+
+#: Candidate categories, numbered in walk order for equal gains.
+_PAIR, _TRIPLE, _REG, _IMM16, _IMM26 = range(5)
 
 
 class MipsSadcCodec:
@@ -199,6 +227,12 @@ class MipsSadcCodec:
         ``seed_all_opcodes`` inserts a single-opcode entry for *every*
         mnemonic in the ISA (not just those observed), which a *static*
         dictionary needs so it can parse programs it was not trained on.
+
+        Each cycle inserts the ``batch_inserts`` best-gain candidates.
+        The parses and candidate counts carry over between cycles: a
+        block is reparsed, from the first token a new entry would
+        replace, only when a new entry matches at one of its token
+        starts and outranks the entry chosen there.
         """
         dictionary = Dictionary(self.max_entries)
         if seed_all_opcodes:
@@ -210,81 +244,162 @@ class MipsSadcCodec:
                 entry = DictEntry(opcodes=(rec.opcode_id,))
                 if entry not in dictionary and not dictionary.is_full:
                     dictionary.add(entry)
+        if dictionary.is_full:
+            return dictionary
 
+        entries = dictionary.entries
+        block_ops = [tuple(rec.opcode_id for rec in block) for block in blocks]
+        parses = [parse_block(dictionary, block) for block in blocks]
+        counts = CandidateCounts(5)
+        for block, tokens in zip(blocks, parses):
+            counts.append_block(self._candidate_keys(entries, block, tokens))
+        added: List[int] = []
         for _cycle in range(self.max_cycles):
             if dictionary.is_full:
                 break
-            parses = [parse_block(dictionary, block) for block in blocks]
-            candidates = self._gather_candidates(dictionary, blocks, parses)
-            inserted = 0
-            for gain, entry in candidates:
-                if gain <= 0 or dictionary.is_full:
+            if added:
+                self._reparse(
+                    dictionary, blocks, block_ops, parses, counts, added
+                )
+            added = []
+            levels = self._gain_levels(entries, counts)
+            for category, key in counts.in_walk_order(levels):
+                if dictionary.is_full:
                     break
+                entry = self._candidate_entry(entries, category, key)
                 if entry in dictionary:
                     continue
-                dictionary.add(entry)
-                inserted += 1
-                if inserted >= self.batch_inserts:
+                added.append(dictionary.add(entry))
+                if len(added) >= self.batch_inserts:
                     break
-            if inserted == 0:
+            if not added:
                 break
         return dictionary
 
-    def _gather_candidates(
+    def _candidate_keys(
+        self,
+        entries: Sequence[DictEntry],
+        block: Sequence[InstrRec],
+        tokens: Sequence[ParsedToken],
+    ) -> Tuple[List[Key], List[Key], List[Key], List[Key], List[Key]]:
+        """One block's candidate occurrences, per category, in parse order."""
+        pairs: List[Key] = []
+        triples: List[Key] = []
+        regs: List[Key] = []
+        imm16s: List[Key] = []
+        imm26s: List[Key] = []
+        if self.enable_groups:
+            indices = [index for index, _pos in tokens]
+            pairs = list(zip(indices, indices[1:]))
+            if self.max_group_tokens >= 3:
+                triples = list(zip(indices, indices[1:], indices[2:]))
+        reg_binding = self.enable_reg_binding
+        imm_binding = self.enable_imm_binding
+        for index, pos in tokens:
+            entry = entries[index]
+            for j in range(entry.length):
+                rec = block[pos + j]
+                if reg_binding:
+                    for slot, value in enumerate(rec.regs):
+                        if entry.reg_binding(j, slot) is None:
+                            regs.append((index, j, slot, value))
+                if imm_binding:
+                    if rec.imm16 is not None and entry.imm16_binding(j) is None:
+                        imm16s.append((index, j, rec.imm16))
+                    if rec.imm26 is not None and entry.imm26_binding(j) is None:
+                        imm26s.append((index, j, rec.imm26))
+        return pairs, triples, regs, imm16s, imm26s
+
+    @staticmethod
+    def _gain_levels(
+        entries: Sequence[DictEntry], counts: CandidateCounts
+    ) -> GainLevels:
+        """Positive-gain candidates grouped by gain.
+
+        A gain is the stream bits an entry saves minus its storage,
+        ``f·saved − storage_bits``; storage adds up over concatenation
+        and binding, so it comes from the cached bits of the entries a
+        candidate is made of, without building the candidate.
+        """
+        bits = [entry.storage_bits for entry in entries]
+        levels: GainLevels = {}
+        pairs, triples, regs, imm16s, imm26s = counts.totals
+        for key, f in pairs.items():
+            gain = f * 8 - bits[key[0]] - bits[key[1]]
+            if gain > 0:
+                levels.setdefault(gain, []).append((_PAIR, key))
+        for key, f in triples.items():
+            gain = f * 16 - bits[key[0]] - bits[key[1]] - bits[key[2]]
+            if gain > 0:
+                levels.setdefault(gain, []).append((_TRIPLE, key))
+        for key, f in regs.items():
+            gain = f * 5 - bits[key[0]] - BOUND_REG_BITS
+            if gain > 0:
+                levels.setdefault(gain, []).append((_REG, key))
+        for key, f in imm16s.items():
+            gain = f * 16 - bits[key[0]] - BOUND_IMM16_BITS
+            if gain > 0:
+                levels.setdefault(gain, []).append((_IMM16, key))
+        for key, f in imm26s.items():
+            gain = f * 26 - bits[key[0]] - BOUND_IMM26_BITS
+            if gain > 0:
+                levels.setdefault(gain, []).append((_IMM26, key))
+        return levels
+
+    @staticmethod
+    def _candidate_entry(
+        entries: Sequence[DictEntry], category: int, key: Key
+    ) -> DictEntry:
+        if category == _PAIR:
+            return entries[key[0]].concat(entries[key[1]])
+        if category == _TRIPLE:
+            a, b, c = key
+            return entries[a].concat(entries[b]).concat(entries[c])
+        if category == _REG:
+            index, j, slot, value = key
+            return entries[index].bind_reg(j, slot, value)
+        index, j, value = key
+        if category == _IMM16:
+            return entries[index].bind_imm16(j, value)
+        return entries[index].bind_imm26(j, value)
+
+    def _reparse(
         self,
         dictionary: Dictionary,
         blocks: Sequence[Sequence[InstrRec]],
-        parses: Sequence[Sequence[ParsedToken]],
-    ) -> List[Tuple[int, DictEntry]]:
-        """Score every candidate insertion, best gain first."""
+        block_ops: Sequence[Tuple[int, ...]],
+        parses: List[List[ParsedToken]],
+        counts: CandidateCounts,
+        added: Sequence[int],
+    ) -> None:
+        """Bring ``parses`` and ``counts`` up to date with ``added``.
+
+        Equal ranks keep insertion order in the dictionary, so a new
+        entry changes a parse only at a token start where it matches
+        and strictly outranks the chosen entry; the parse up to that
+        token stays as it was.
+        """
         entries = dictionary.entries
-        pair_counts: Counter = Counter()
-        triple_counts: Counter = Counter()
-        reg_counts: Counter = Counter()
-        imm16_counts: Counter = Counter()
-        imm26_counts: Counter = Counter()
-
-        for block, tokens in zip(blocks, parses):
-            if self.enable_groups:
-                for i in range(len(tokens) - 1):
-                    pair_counts[(tokens[i][0], tokens[i + 1][0])] += 1
-                if self.max_group_tokens >= 3:
-                    for i in range(len(tokens) - 2):
-                        triple_counts[
-                            (tokens[i][0], tokens[i + 1][0], tokens[i + 2][0])
-                        ] += 1
-            for index, pos in tokens:
-                entry = entries[index]
-                for j in range(entry.length):
-                    rec = block[pos + j]
-                    if self.enable_reg_binding:
-                        for slot, value in enumerate(rec.regs):
-                            if entry.reg_binding(j, slot) is None:
-                                reg_counts[(index, j, slot, value)] += 1
-                    if self.enable_imm_binding:
-                        if rec.imm16 is not None and entry.imm16_binding(j) is None:
-                            imm16_counts[(index, j, rec.imm16)] += 1
-                        if rec.imm26 is not None and entry.imm26_binding(j) is None:
-                            imm26_counts[(index, j, rec.imm26)] += 1
-
-        scored: List[Tuple[int, DictEntry]] = []
-        for (a, b), f in pair_counts.items():
-            entry = entries[a].concat(entries[b])
-            scored.append((f * 8 - entry.storage_bits, entry))
-        for (a, b, c), f in triple_counts.items():
-            entry = entries[a].concat(entries[b]).concat(entries[c])
-            scored.append((f * 16 - entry.storage_bits, entry))
-        for (index, j, slot, value), f in reg_counts.items():
-            entry = entries[index].bind_reg(j, slot, value)
-            scored.append((f * 5 - entry.storage_bits, entry))
-        for (index, j, value), f in imm16_counts.items():
-            entry = entries[index].bind_imm16(j, value)
-            scored.append((f * 16 - entry.storage_bits, entry))
-        for (index, j, value), f in imm26_counts.items():
-            entry = entries[index].bind_imm26(j, value)
-            scored.append((f * 26 - entry.storage_bits, entry))
-        scored.sort(key=lambda item: item[0], reverse=True)
-        return scored
+        rivals_by_opcode: Dict[int, List[DictEntry]] = {}
+        for index in added:
+            entry = entries[index]
+            rivals_by_opcode.setdefault(entry.opcodes[0], []).append(entry)
+        for b, (block, tokens) in enumerate(zip(blocks, parses)):
+            ops = block_ops[b]
+            for i, (index, pos) in enumerate(tokens):
+                rivals = rivals_by_opcode.get(ops[pos])
+                if rivals is None:
+                    continue
+                rank = entries[index].rank
+                if any(
+                    rival.rank > rank and _entry_matches(rival, block, ops, pos)
+                    for rival in rivals
+                ):
+                    tokens[i:] = parse_block(dictionary, block, pos)
+                    counts.replace_block(
+                        b, self._candidate_keys(entries, block, tokens)
+                    )
+                    break
 
     # -- entropy coding ---------------------------------------------------
 

@@ -10,6 +10,14 @@ entries.  Register/immediate binding does not apply (registers live in
 ModRM, which stays a separate stream) — one reason the paper's x86
 ratios trail its MIPS ratios.
 
+The dictionary grows as on MIPS (see :mod:`repro.core.sadc.mips`):
+each gain cycle inserts the best pair and triple groups, and parses and
+candidate counts carry over between cycles.  A block is reparsed, from
+the first token a new entry would replace, only when a new entry that
+is strictly longer than the chosen one matches at one of its token
+starts.  Equal gains are walked pairs first, then triples, each in
+order of first occurrence.
+
 Block handling: an instruction belongs to the cache block in which it
 *starts*.  Real hardware would decompress exactly 32 original bytes per
 block (splitting an instruction across blocks); assigning whole
@@ -20,11 +28,13 @@ most one instruction.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from typing import Dict, List, Sequence, Tuple
 
 from repro.bitstream.io import BitReader, BitWriter
 from repro.core.lat import CompressedImage
+from repro.core.sadc.growth import CandidateCounts, GainLevels, Key
 from repro.entropy.huffman import (
     HuffmanCode,
     HuffmanDecoder,
@@ -59,7 +69,11 @@ class X86Dictionary:
         self.max_entries = max_entries
         self.entries: List[X86Entry] = []
         self._known: Dict[X86Entry, int] = {}
+        #: first opcode string -> entry indices, longest first; equal
+        #: lengths keep insertion order.
         self._by_first: Dict[bytes, List[int]] = {}
+        #: the negated lengths of each ``_by_first`` bucket, for bisection.
+        self._bucket_keys: Dict[bytes, List[int]] = {}
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -79,9 +93,11 @@ class X86Dictionary:
         index = len(self.entries)
         self.entries.append(entry)
         self._known[entry] = index
-        bucket = self._by_first.setdefault(entry[0], [])
-        bucket.append(index)
-        bucket.sort(key=lambda i: len(self.entries[i]), reverse=True)
+        # A new entry goes after its equals (see Dictionary.add).
+        keys = self._bucket_keys.setdefault(entry[0], [])
+        at = bisect_right(keys, -len(entry))
+        keys.insert(at, -len(entry))
+        self._by_first.setdefault(entry[0], []).insert(at, index)
         return index
 
     def candidates_starting_with(self, first: bytes) -> List[int]:
@@ -97,24 +113,28 @@ def _opcode_entry(instruction: X86Instruction) -> bytes:
 
 
 def parse_block(
-    dictionary: X86Dictionary, entries_in_block: Sequence[bytes]
+    dictionary: X86Dictionary, entries_in_block: Sequence[bytes], start: int = 0
 ) -> List[int]:
-    """Greedy longest-match parse of one block's opcode entries."""
+    """Greedy longest-match parse of one block's opcode entries.
+
+    ``start`` resumes the parse at that instruction, which must be a
+    token start of an earlier parse of the same block.
+    """
+    block = tuple(entries_in_block)
+    entries = dictionary.entries
     tokens: List[int] = []
-    pos = 0
-    while pos < len(entries_in_block):
+    pos = start
+    while pos < len(block):
         chosen = None
-        for index in dictionary.candidates_starting_with(entries_in_block[pos]):
-            entry = dictionary.entries[index]
-            if pos + len(entry) <= len(entries_in_block) and all(
-                entry[j] == entries_in_block[pos + j] for j in range(len(entry))
-            ):
+        for index in dictionary.candidates_starting_with(block[pos]):
+            entry = entries[index]
+            if block[pos : pos + len(entry)] == entry:
                 chosen = index
                 break
         if chosen is None:
             raise ValueError("no dictionary entry matches — seed singles first")
         tokens.append(chosen)
-        pos += len(dictionary.entries[chosen])
+        pos += len(entries[chosen])
     return tokens
 
 
@@ -153,55 +173,112 @@ class X86SadcCodec:
     def build_dictionary(
         self, blocks: Sequence[Sequence[X86Instruction]]
     ) -> X86Dictionary:
+        """Gain-driven dictionary generation over opcode-entry groups.
+
+        The same incremental cycle as the MIPS builder, with pair and
+        triple candidates only: parses and counts carry over, and a
+        block is reparsed from the first token a new, strictly longer
+        entry would replace.
+        """
         dictionary = X86Dictionary(self.max_entries)
         per_block_entries = [
-            [_opcode_entry(i) for i in block] for block in blocks
+            tuple(_opcode_entry(i) for i in block) for block in blocks
         ]
         for entries in per_block_entries:
             for entry_bytes in entries:
                 single = (entry_bytes,)
                 if single not in dictionary and not dictionary.is_full:
                     dictionary.add(single)
+        if dictionary.is_full:
+            return dictionary
 
+        parses = [
+            parse_block(dictionary, entries) for entries in per_block_entries
+        ]
+        counts = CandidateCounts(2)
+        for tokens in parses:
+            counts.append_block(self._candidate_keys(tokens))
+        bits = [_entry_storage_bits(entry) for entry in dictionary.entries]
+        added: List[int] = []
         for _cycle in range(self.max_cycles):
             if dictionary.is_full:
                 break
-            parses = [
-                parse_block(dictionary, entries) for entries in per_block_entries
-            ]
-            pair_counts: Counter = Counter()
-            triple_counts: Counter = Counter()
-            for tokens in parses:
-                for i in range(len(tokens) - 1):
-                    pair_counts[(tokens[i], tokens[i + 1])] += 1
-                if self.max_group_tokens >= 3:
-                    for i in range(len(tokens) - 2):
-                        triple_counts[(tokens[i], tokens[i + 1], tokens[i + 2])] += 1
-            scored: List[Tuple[int, X86Entry]] = []
-            for (a, b), f in pair_counts.items():
-                entry = dictionary.entries[a] + dictionary.entries[b]
-                scored.append((f * 8 - _entry_storage_bits(entry), entry))
-            for (a, b, c), f in triple_counts.items():
-                entry = (
-                    dictionary.entries[a]
-                    + dictionary.entries[b]
-                    + dictionary.entries[c]
-                )
-                scored.append((f * 16 - _entry_storage_bits(entry), entry))
-            scored.sort(key=lambda item: item[0], reverse=True)
-            inserted = 0
-            for gain, entry in scored:
-                if gain <= 0 or dictionary.is_full:
+            if added:
+                self._reparse(dictionary, per_block_entries, parses, counts, added)
+            added = []
+            for _category, key in counts.in_walk_order(
+                self._gain_levels(bits, counts)
+            ):
+                if dictionary.is_full:
                     break
+                entry = tuple(
+                    part for index in key for part in dictionary.entries[index]
+                )
                 if entry in dictionary:
                     continue
-                dictionary.add(entry)
-                inserted += 1
-                if inserted >= self.batch_inserts:
+                added.append(dictionary.add(entry))
+                bits.append(sum(bits[index] for index in key))
+                if len(added) >= self.batch_inserts:
                     break
-            if inserted == 0:
+            if not added:
                 break
         return dictionary
+
+    def _candidate_keys(
+        self, tokens: Sequence[int]
+    ) -> Tuple[List[Key], List[Key]]:
+        """One block's pair and triple occurrences, in parse order."""
+        pairs: List[Key] = list(zip(tokens, tokens[1:]))
+        triples: List[Key] = []
+        if self.max_group_tokens >= 3:
+            triples = list(zip(tokens, tokens[1:], tokens[2:]))
+        return pairs, triples
+
+    @staticmethod
+    def _gain_levels(bits: Sequence[int], counts: CandidateCounts) -> GainLevels:
+        """Positive-gain candidates grouped by gain (category 0 pairs,
+        1 triples); storage adds up over concatenation."""
+        levels: GainLevels = {}
+        pairs, triples = counts.totals
+        for key, f in pairs.items():
+            gain = f * 8 - bits[key[0]] - bits[key[1]]
+            if gain > 0:
+                levels.setdefault(gain, []).append((0, key))
+        for key, f in triples.items():
+            gain = f * 16 - bits[key[0]] - bits[key[1]] - bits[key[2]]
+            if gain > 0:
+                levels.setdefault(gain, []).append((1, key))
+        return levels
+
+    def _reparse(
+        self,
+        dictionary: X86Dictionary,
+        per_block_entries: Sequence[Tuple[bytes, ...]],
+        parses: List[List[int]],
+        counts: CandidateCounts,
+        added: Sequence[int],
+    ) -> None:
+        """Bring ``parses`` and ``counts`` up to date with ``added``
+        (the rule of :meth:`MipsSadcCodec._reparse`, ranked by length)."""
+        entries = dictionary.entries
+        rivals_by_first: Dict[bytes, List[X86Entry]] = {}
+        for index in added:
+            entry = entries[index]
+            rivals_by_first.setdefault(entry[0], []).append(entry)
+        for b, (block, tokens) in enumerate(zip(per_block_entries, parses)):
+            pos = 0
+            for i, index in enumerate(tokens):
+                length = len(entries[index])
+                rivals = rivals_by_first.get(block[pos])
+                if rivals is not None and any(
+                    len(rival) > length
+                    and block[pos : pos + len(rival)] == rival
+                    for rival in rivals
+                ):
+                    tokens[i:] = parse_block(dictionary, block, pos)
+                    counts.replace_block(b, self._candidate_keys(tokens))
+                    break
+                pos += length
 
     # -- coding -----------------------------------------------------------
 

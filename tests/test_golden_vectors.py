@@ -72,6 +72,26 @@ SADC_FULL_DIGEST = "91543f6a4466122ec12fd3f25b45ddc1013e52728cbdd85c7d14418f0b6b
 GZIPISH_FULL_DIGEST = "d8d66e0e684b06c525d9ff98298ba36ada0f67c59b728cc261611927391bf2cb"
 LZW_FULL_DIGEST = "2e8da66834854a434ca37ee3d0a2531ea6ec95e4cb91237f0af8370e64160e8a"
 
+# SADC at dictionary scale: gcc (seed 0) grows the MIPS dictionary to
+# its 256-entry cap and the x86 one to 206 entries, so these pin the
+# builder's gain tie-breaking and insertion order, which the 512-byte
+# workload above never reaches.  Each row: (isa, scale, SHA-256 of the
+# compressed blocks, SHA-256 of ``repr(dictionary.entries)``, entries).
+SADC_CAP_VECTORS = (
+    (
+        "mips", 0.2,
+        "fa8c90a7fa5441051ce74cea7ba486f66879fd901db44d09fc32e4f0778e5242",
+        "fba845d4a3b871f2be1d06993254665ff88099c9dbe4ab8e3c29bef3872af205",
+        256,
+    ),
+    (
+        "x86", 0.5,
+        "3ac1fcf963b8b5e2981bfae2d9721ae6b39ebf5704c6b8650a17cd412c0d41ef",
+        "71ad4dff12daa3a006fa1b0cb36fe0e39c600e5586a8b5dacc59b15fcc15d366",
+        206,
+    ),
+)
+
 
 @pytest.fixture(scope="module")
 def workload() -> bytes:
@@ -124,6 +144,22 @@ def test_sadc_golden(coding_path, workload):
     assert b"".join(image.blocks).hex() == SADC_TINY
     full = sadc_compress(workload, isa="mips")
     assert _sha256(b"".join(full.blocks)) == SADC_FULL_DIGEST
+
+
+@pytest.mark.parametrize(
+    "isa,scale,blocks_digest,dictionary_digest,entries",
+    SADC_CAP_VECTORS,
+    ids=[row[0] for row in SADC_CAP_VECTORS],
+)
+def test_sadc_golden_at_cap(
+    coding_path, isa, scale, blocks_digest, dictionary_digest, entries
+):
+    code = generate_benchmark("gcc", isa, scale=scale, seed=0).code
+    image = sadc_compress(code, isa=isa)
+    dictionary = image.metadata["dictionary"]
+    assert len(dictionary.entries) == entries
+    assert _sha256(repr(dictionary.entries).encode()) == dictionary_digest
+    assert _sha256(b"".join(image.blocks)) == blocks_digest
 
 
 def test_gzipish_golden(coding_path, workload):

@@ -54,6 +54,20 @@ class TestDictEntry:
         b = DictEntry(opcodes=(1, 2))
         assert a == b and hash(a) == hash(b)
 
+    def test_cached_fields_leave_identity_alone(self):
+        entry = DictEntry(opcodes=(1, 2)).bind_reg(1, 0, 29).bind_imm16(0, 4)
+        assert entry.length == 2
+        assert entry.rank == (2, 2)
+        assert entry.storage_bits == (
+            2 * OPCODE_BITS + BOUND_REG_BITS + BOUND_IMM16_BITS
+        )
+        fields = (entry.opcodes, entry.bound_regs, entry.bound_imm16, ())
+        assert hash(entry) == hash(fields)
+        assert repr(entry) == (
+            "DictEntry(opcodes=(1, 2), bound_regs=((1, 0, 29),), "
+            "bound_imm16=((0, 4),), bound_imm26=())"
+        )
+
 
 class TestDictionary:
     def test_add_and_lookup(self):
@@ -93,6 +107,21 @@ class TestDictionary:
         bound = dictionary.add(DictEntry(opcodes=(5,)).bind_reg(0, 0, 31))
         candidates = dictionary.candidates_starting_with(5)
         assert candidates.index(bound) < candidates.index(plain)
+
+    def test_equal_rank_keeps_insertion_order(self):
+        # A new entry goes after every entry of equal rank: a parse that
+        # chose an entry is never changed by a later equal-rank one.
+        dictionary = Dictionary()
+        dictionary.add(DictEntry(opcodes=(5,)))
+        first = dictionary.add(DictEntry(opcodes=(5, 6)))
+        bound = dictionary.add(DictEntry(opcodes=(5, 6)).bind_reg(0, 0, 31))
+        second = dictionary.add(DictEntry(opcodes=(5, 7)))
+        longer = dictionary.add(DictEntry(opcodes=(5, 6, 7)))
+        third = dictionary.add(DictEntry(opcodes=(5, 8)))
+        plain = dictionary.add(DictEntry(opcodes=(5,)).bind_imm16(0, 1))
+        assert dictionary.candidates_starting_with(5) == [
+            longer, bound, first, second, third, plain, 0,
+        ]
 
     def test_storage_bits_sums_entries(self):
         dictionary = Dictionary()

@@ -84,6 +84,15 @@ class TestParse:
         tokens2 = parse_block(dictionary2, other)
         assert dictionary2.entries[tokens2[0][0]].bound_regs == ()
 
+    def test_resumed_parse_is_the_tail_of_the_full_parse(self):
+        instrs = self._instrs()
+        dictionary = self._dictionary_with_singles(instrs)
+        group = DictEntry(opcodes=(instrs[2].opcode_id, instrs[3].opcode_id))
+        dictionary.add(group)
+        full =parse_block(dictionary, instrs)
+        for i, (_index, pos) in enumerate(full):
+            assert parse_block(dictionary, instrs, pos) == full[i:]
+
     def test_missing_single_raises(self):
         with pytest.raises(ValueError):
             parse_block(Dictionary(), self._instrs())

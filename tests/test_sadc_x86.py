@@ -57,6 +57,21 @@ class TestDictionary:
         tokens = parse_block(dictionary, [b"\x55", b"\x89"])
         assert tokens == [long]
 
+    def test_equal_length_keeps_insertion_order(self):
+        # A new entry goes after every entry of equal length (the
+        # incremental builder's reparse rule depends on it).
+        dictionary = X86Dictionary()
+        single = dictionary.add((b"\x55",))
+        first = dictionary.add((b"\x55", b"\x89"))
+        second = dictionary.add((b"\x55", b"\x8b"))
+        longer = dictionary.add((b"\x55", b"\x89", b"\xe5"))
+        third = dictionary.add((b"\x55", b"\x90"))
+        assert dictionary.candidates_starting_with(b"\x55") == [
+            longer, first, second, third, single,
+        ]
+        tokens = parse_block(dictionary, [b"\x90", b"\x55", b"\x89"], 1)
+        assert tokens == [first]
+
     def test_capacity(self):
         dictionary = X86Dictionary(max_entries=1)
         dictionary.add((b"\x90",))
