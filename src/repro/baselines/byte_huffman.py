@@ -16,7 +16,7 @@ from typing import List, Sequence
 
 from repro.bitstream.io import BitReader, BitWriter
 from repro.core.lat import CompressedImage, split_blocks
-from repro.fastpath import fastpath_enabled
+from repro.fastpath import batch_min, fastpath_enabled
 from repro.entropy.huffman import (
     HuffmanCode,
     HuffmanDecoder,
@@ -89,40 +89,27 @@ class ByteHuffmanCodec:
     ) -> List[bytes]:
         """Random-access decode of a batch of cache blocks.
 
-        Reference semantics are the per-block loop (and that is the
-        ``REPRO_FASTPATH=0`` path).  With the fastpath on, the shared
-        canonical table compiles to a flat lookup table once and the
-        batch decodes in lockstep
-        (:func:`repro.fastpath.huffman_kernel.decode_blocks_fast`);
-        corrupted streams and exotic tables drop back to the reference
-        decoder so the error behaviour — which block raises, and what —
-        is exactly the loop's.  Output is byte-identical either way.
+        Specified as the per-block loop.  From
+        :func:`~repro.fastpath.batch_min` blocks up the fastpath decodes
+        in lockstep instead; anything it cannot finish drops back to
+        the loop, so outputs and errors are exactly the loop's.
         """
         indices = list(indices)
-        if not indices:
-            return []
-        if fastpath_enabled():
-            from repro.fastpath.huffman_kernel import (
-                compile_decode_table,
-                decode_blocks_fast,
-            )
+        if fastpath_enabled() and len(indices) >= batch_min():
+            from repro.fastpath.huffman_kernel import decode_blocks_fast
 
-            table = compile_decode_table(image.metadata["code"])
-            if table is not None:
-                counts = [
-                    self._original_block_bytes(image, index)
-                    for index in indices
-                ]
-                with decode_guard("byte_huffman.decompress_blocks"):
-                    payloads = [
-                        block_payload(image, index) for index in indices
-                    ]
-                    decoded = decode_blocks_fast(table, payloads, counts)
-                if decoded is not None:
-                    return decoded
+            decoder = HuffmanDecoder(image.metadata["code"])
+            counts = [
+                self._original_block_bytes(image, index) for index in indices
+            ]
+            with decode_guard("byte_huffman.decompress_blocks"):
+                payloads = [block_payload(image, index) for index in indices]
+                decoded = decode_blocks_fast(decoder, payloads, counts)
+            if decoded is not None:
+                return decoded
         return [self.decompress_block(image, index) for index in indices]
 
-    def decompress_block(self, image: CompressedImage, block_index: int) -> bytes:  # repro: noqa fastpath-parity (single-block reference path; the batch entry point dispatches)
+    def decompress_block(self, image: CompressedImage, block_index: int) -> bytes:  # repro: noqa fastpath-parity (single-block decode; the batch entry point dispatches)
         """Random-access decode of one cache block."""
         table: HuffmanCode = image.metadata["code"]
         decoder = HuffmanDecoder(table)

@@ -21,9 +21,11 @@ from typing import Dict, List, Tuple
 from repro.baselines.lzss import Literal, Match, Token, detokenize, tokenize
 from repro.bitstream.io import BitReader, BitWriter
 from repro.entropy.huffman import (
+    HuffmanCode,
     HuffmanDecoder,
     HuffmanEncoder,
     build_code,
+    canonical_codewords,
 )
 from repro.obs import get_recorder
 from repro.resilience.errors import decode_guard
@@ -191,8 +193,6 @@ def gzipish_decompress(payload: bytes) -> bytes:
         reader = BitReader(payload)
         litlen_lengths = _read_table(reader, 286)
         dist_lengths = _read_table(reader, 30)
-        from repro.entropy.huffman import HuffmanCode, canonical_codewords
-
         litlen_code = HuffmanCode(litlen_lengths, canonical_codewords(litlen_lengths))
         dist_code = HuffmanCode(dist_lengths, canonical_codewords(dist_lengths))
         litlen_decoder = HuffmanDecoder(litlen_code)
@@ -200,7 +200,7 @@ def gzipish_decompress(payload: bytes) -> bytes:
 
         tokens: List[Token] = []
         while True:
-            symbol = litlen_decoder.decode_from(reader, 1)[0]
+            symbol = litlen_decoder.decode_symbol(reader)
             if symbol == END_OF_BLOCK:
                 break
             if symbol < 256:
@@ -208,7 +208,7 @@ def gzipish_decompress(payload: bytes) -> bytes:
                 continue
             extra, base = _LENGTH_BY_SYMBOL[symbol]
             length = base + (reader.read_bits(extra) if extra else 0)
-            dsymbol = dist_decoder.decode_from(reader, 1)[0]
+            dsymbol = dist_decoder.decode_symbol(reader)
             dextra, dbase = _DISTANCE_BY_SYMBOL[dsymbol]
             distance = dbase + (reader.read_bits(dextra) if dextra else 0)
             tokens.append(Match(length, distance))

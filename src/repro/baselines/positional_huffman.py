@@ -92,9 +92,7 @@ class PositionalHuffmanCodec:
             reader = BitReader(image.blocks[block_index])
             out = bytearray()
             for index in range(count):
-                out.extend(
-                    decoders[index % self.word_bytes].decode_from(reader, 1)
-                )
+                out.append(decoders[index % self.word_bytes].decode_symbol(reader))
             return bytes(out)
 
     def _original_block_bytes(self, image: CompressedImage, block_index: int) -> int:

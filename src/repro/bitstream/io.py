@@ -9,9 +9,10 @@ in the Section 3 pseudocode).
 
 The multi-bit primitives (:meth:`BitWriter.write_bits`,
 :meth:`BitWriter.write_bytes`, :meth:`BitReader.read_bits`,
-:meth:`BitReader.read_bytes`) are *batched*: they move whole words
-through a cached bit accumulator instead of looping bit by bit, which is
-what makes the Huffman/LZW/gzipish hot paths fast.  Argument validation
+:meth:`BitReader.read_bytes`, :meth:`BitReader.peek_bits`) are
+*batched*: they move whole words through a cached bit accumulator
+instead of looping bit by bit, which is what makes the
+Huffman/LZW/gzipish hot paths fast.  Argument validation
 happens once at these public entry points; the internal batch loops
 assume the invariant ``0 <= value < 2**width`` already holds.
 """
@@ -150,6 +151,24 @@ class BitReader:
             raise EOFError("read past end of bit stream")
         self._pos += 1
         return (self._data[byte_index] >> (7 - bit_index)) & 1
+
+    def peek_bits(self, width: int) -> int:
+        """The next ``width`` bits, zero-filled past the end; consumes none."""
+        pos = self._pos
+        first = pos >> 3
+        span = ((pos & 7) + width + 7) >> 3
+        chunk = self._data[first : first + span]
+        value = int.from_bytes(chunk, "big") << (8 * (span - len(chunk)))
+        return (value >> (8 * span - (pos & 7) - width)) & ((1 << width) - 1)
+
+    def advance(self, width: int) -> bool:
+        """Consume ``width`` bits unless that would read past the end
+        (without ``pad``); return whether it did."""
+        end = self._pos + width
+        if end > 8 * len(self._data) and not self._pad:
+            return False
+        self._pos = end
+        return True
 
     def read_bits(self, width: int) -> int:
         """Read ``width`` bits and return them as an unsigned integer.

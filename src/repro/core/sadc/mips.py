@@ -600,94 +600,65 @@ class MipsSadcCodec:
     def decompress_blocks(
         self, image: CompressedImage, indices
     ) -> List[bytes]:
-        """Random-access expansion of a batch of cache blocks.
+        """Batch form of :meth:`decompress_block` (uniform batch API).
 
-        Identical output to the per-block loop; the batch form builds
-        the stream Huffman decoders once for the whole batch instead of
-        once per block (they are read-only during decode, so sharing is
-        safe).
+        The stream decoders compile once per code, so the batch is
+        simply the per-block loop.
         """
-        indices = list(indices)
-        if not indices:
-            return []
-        dictionary: Dictionary = image.metadata["dictionary"]
-        codes: Dict[str, HuffmanCode] = image.metadata["codes"]
-        decoders = {name: HuffmanDecoder(code) for name, code in codes.items()}
-        out: List[bytes] = []
-        for block_index in indices:
-            expected = self._original_block_bytes(image, block_index) // 4
-            with decode_guard("sadc.mips.decompress_block"):
-                reader = BitReader(block_payload(image, block_index), pad=False)
-                out.append(self._decode_words(
-                    reader, dictionary, decoders, expected, block_index
-                ))
-        return out
+        return [self.decompress_block(image, index) for index in indices]
 
     def decompress_block(self, image: CompressedImage, block_index: int) -> bytes:
         """Random-access expansion of one cache block."""
         dictionary: Dictionary = image.metadata["dictionary"]
         codes: Dict[str, HuffmanCode] = image.metadata["codes"]
         decoders = {name: HuffmanDecoder(code) for name, code in codes.items()}
-        block_bytes = self._original_block_bytes(image, block_index)
-        expected = block_bytes // 4
+        expected = self._original_block_bytes(image, block_index) // 4
         with decode_guard("sadc.mips.decompress_block"):
             reader = BitReader(block_payload(image, block_index), pad=False)
-            return self._decode_words(
-                reader, dictionary, decoders, expected, block_index
-            )
-
-    def _decode_words(
-        self,
-        reader: BitReader,
-        dictionary: Dictionary,
-        decoders: Dict[str, HuffmanDecoder],
-        expected: int,
-        block_index: int,
-    ) -> bytes:
-        words: List[int] = []
-        while len(words) < expected:
-            index = decoders["tokens"].decode_from(reader, 1)[0]
-            entry = dictionary.entries[index]
-            if not entry.opcodes:
-                # An empty entry decodes zero instructions: the loop
-                # would never advance — only reachable from a corrupted
-                # deserialised dictionary.
-                raise CorruptedStreamError(
-                    f"dictionary entry {index} is empty",
-                    category=CATEGORY_STRUCTURE,
+            words: List[int] = []
+            while len(words) < expected:
+                index = decoders["tokens"].decode_symbol(reader)
+                entry = dictionary.entries[index]
+                if not entry.opcodes:
+                    # An empty entry decodes zero instructions: the loop
+                    # would never advance — only reachable from a corrupted
+                    # deserialised dictionary.
+                    raise CorruptedStreamError(
+                        f"dictionary entry {index} is empty",
+                        category=CATEGORY_STRUCTURE,
+                    )
+                for j, opcode_id in enumerate(entry.opcodes):
+                    spec = ID_TO_SPEC[opcode_id]
+                    regs: List[int] = []
+                    for slot in range(len(register_slots(spec))):
+                        bound = entry.reg_binding(j, slot)
+                        if bound is None:
+                            regs.append(decoders["regs"].decode_symbol(reader))
+                        else:
+                            regs.append(bound)
+                    imm16 = None
+                    if uses_imm16(spec):
+                        imm16 = entry.imm16_binding(j)
+                        if imm16 is None:
+                            hi = decoders["imm16_hi"].decode_symbol(reader)
+                            lo = decoders["imm16_lo"].decode_symbol(reader)
+                            imm16 = (hi << 8) | lo
+                    imm26 = None
+                    if uses_imm26(spec):
+                        imm26 = entry.imm26_binding(j)
+                        if imm26 is None:
+                            hi = decoders["imm26_hi"].decode_symbol(reader)
+                            mid = decoders["imm26_lo"].decode_symbol(reader)
+                            lo = decoders["imm26_lo"].decode_symbol(reader)
+                            imm26 = (hi << 16) | (mid << 8) | lo
+                    rec = InstrRec(opcode_id, tuple(regs), imm16, imm26)
+                    words.append(rec.to_word())
+            if len(words) != expected:
+                raise ValueError(
+                    f"block {block_index}: dictionary group crossed the block "
+                    f"boundary ({len(words)} != {expected} instructions)"
                 )
-            for j, opcode_id in enumerate(entry.opcodes):
-                spec = ID_TO_SPEC[opcode_id]
-                regs: List[int] = []
-                for slot in range(len(register_slots(spec))):
-                    bound = entry.reg_binding(j, slot)
-                    if bound is None:
-                        regs.append(decoders["regs"].decode_from(reader, 1)[0])
-                    else:
-                        regs.append(bound)
-                imm16 = None
-                if uses_imm16(spec):
-                    imm16 = entry.imm16_binding(j)
-                    if imm16 is None:
-                        hi = decoders["imm16_hi"].decode_from(reader, 1)[0]
-                        lo = decoders["imm16_lo"].decode_from(reader, 1)[0]
-                        imm16 = (hi << 8) | lo
-                imm26 = None
-                if uses_imm26(spec):
-                    imm26 = entry.imm26_binding(j)
-                    if imm26 is None:
-                        hi = decoders["imm26_hi"].decode_from(reader, 1)[0]
-                        mid = decoders["imm26_lo"].decode_from(reader, 1)[0]
-                        lo = decoders["imm26_lo"].decode_from(reader, 1)[0]
-                        imm26 = (hi << 16) | (mid << 8) | lo
-                rec = InstrRec(opcode_id, tuple(regs), imm16, imm26)
-                words.append(rec.to_word())
-        if len(words) != expected:
-            raise ValueError(
-                f"block {block_index}: dictionary group crossed the block "
-                f"boundary ({len(words)} != {expected} instructions)"
-            )
-        return words_to_bytes(words, 4)
+            return words_to_bytes(words, 4)
 
     def _original_block_bytes(self, image: CompressedImage, block_index: int) -> int:
         full_blocks, tail = divmod(image.original_size, image.block_size)

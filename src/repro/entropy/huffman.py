@@ -11,12 +11,17 @@ Used three ways in this reproduction:
 Construction is deterministic: ties in the priority queue break on
 (symbol count, smallest symbol), so identical inputs always produce
 identical tables, a property the tests and the LAT layout rely on.
+
+:class:`HuffmanDecoder`, the one decoder, looks each symbol up in a flat
+``2**L`` table (``L`` = longest codeword) compiled once per code; the
+bit-at-a-time walk is its fallback and specification.
 """
 
 from __future__ import annotations
 
 import heapq
 import os
+from array import array
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -207,35 +212,103 @@ class HuffmanEncoder:
         return sum(lengths[s] for s in symbols)
 
 
+#: Longest code the flat decode table covers; deeper codes are walked.
+MAX_TABLE_BITS = 16
+
+
+def _compile(code: HuffmanCode) -> tuple:
+    """``(walk, max_length, table)``: the bit walk's ``(length, word)``
+    map, and ``(symbols, lengths, max_length)`` whose entry ``w`` is what
+    the walk decodes from window ``w`` (length 0: nothing), or ``None``."""
+    walk = {(code.lengths[s], code.codewords[s]): s for s in code.lengths}
+    bits = max(code.lengths.values(), default=0)
+    if not 1 <= bits <= MAX_TABLE_BITS:
+        return walk, bits, None
+    symbols = array("q", bytes(8 << bits))
+    lengths = array("B", bytes(1 << bits))
+    # Longest first, so the shortest match wins as in the walk; a word
+    # wider than its length never matches.
+    for (length, word), symbol in sorted(walk.items(), key=lambda kv: -kv[0][0]):
+        if length >= 1 and 0 <= word < (1 << length):
+            span = 1 << (bits - length)
+            cover = slice(word * span, (word + 1) * span)
+            symbols[cover] = array("q", [symbol]) * span
+            lengths[cover] = array("B", [length]) * span
+    return walk, bits, (symbols, lengths, bits)
+
+
 class HuffmanDecoder:
-    """Decodes bit streams produced by :class:`HuffmanEncoder`."""
+    """Decodes bit streams produced by :class:`HuffmanEncoder`.
+
+    One flat-table lookup per symbol; the table compiles once per code
+    and is cached on it.  What the table cannot decide goes to the bit
+    walk from the same position, so errors are exactly the walk's.
+    ``table`` is that shared ``(symbols, lengths, bits)`` table (read
+    only), or ``None`` for codes deeper than :data:`MAX_TABLE_BITS`.
+    """
 
     def __init__(self, code: HuffmanCode) -> None:
-        self._table: Dict[Tuple[int, int], int] = {
-            (code.lengths[s], code.codewords[s]): s for s in code.lengths
-        }
-        self._max_length = max(code.lengths.values(), default=0)
+        compiled = code.__dict__.get("_compiled_decoder")
+        if compiled is None:
+            compiled = _compile(code)
+            # Frozen dataclass: the cache is no field (==/repr ignore it).
+            object.__setattr__(code, "_compiled_decoder", compiled)
+        self._walk, self._max_length, self.table = compiled
+
+    def decode_symbol(self, reader: BitReader) -> int:
+        """Decode one symbol from a bit reader."""
+        if self.table is not None:
+            symbols, lengths, bits = self.table
+            window = reader.peek_bits(bits)
+            length = lengths[window]
+            if length and reader.advance(length):
+                return symbols[window]
+        return self._walk_symbol(reader)
 
     def decode_from(self, reader: BitReader, count: int) -> List[int]:
-        """Decode exactly ``count`` symbols from a bit reader."""
+        """Decode exactly ``count`` symbols from a bit reader.
+
+        Peeks up to 64 symbols' worth of bits at once; a run the table
+        cannot finish is redone one symbol at a time.
+        """
+        if self.table is None:
+            return [self._walk_symbol(reader) for _ in range(count)]
+        symbols, lengths, bits = self.table
+        mask = (1 << bits) - 1
         out: List[int] = []
-        for _ in range(count):
-            length = 0
-            word = 0
-            while True:
-                word = (word << 1) | reader.read_bit()
-                length += 1
-                if (length, word) in self._table:
-                    out.append(self._table[(length, word)])
+        while len(out) < count:
+            todo = min(count - len(out), 64)
+            top = todo * bits
+            ahead = reader.peek_bits(top)
+            run: List[int] = []
+            used = 0
+            for _ in range(todo):
+                window = (ahead >> (top - used - bits)) & mask
+                if not lengths[window]:
                     break
-                if length > self._max_length:
-                    raise CorruptedStreamError(
-                        "invalid Huffman bit sequence",
-                        offset=reader.bit_position // 8,
-                        category=CATEGORY_SYMBOL,
-                    )
+                used += lengths[window]
+                run.append(symbols[window])
+            if len(run) < todo or not reader.advance(used):
+                run = [self.decode_symbol(reader) for _ in range(count - len(out))]
+            out.extend(run)
         return out
 
     def decode(self, data: bytes, count: int) -> List[int]:
         """Decode ``count`` symbols from bytes."""
         return self.decode_from(BitReader(data), count)
+
+    def _walk_symbol(self, reader: BitReader) -> int:
+        """Bit-at-a-time decode: the specification of the table path."""
+        length = 0
+        word = 0
+        while True:
+            word = (word << 1) | reader.read_bit()
+            length += 1
+            if (length, word) in self._walk:
+                return self._walk[(length, word)]
+            if length > self._max_length:
+                raise CorruptedStreamError(
+                    "invalid Huffman bit sequence",
+                    offset=reader.bit_position // 8,
+                    category=CATEGORY_SYMBOL,
+                )

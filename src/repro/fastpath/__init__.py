@@ -12,11 +12,14 @@ algorithms that are **bit-identical by construction and by test**:
   walk with the range coder into single tight loops.
 * :mod:`repro.fastpath.lz_kernel` — memoryview/chunked match extension
   for LZSS and integer-keyed dictionary lookups for LZW.
+* :mod:`repro.fastpath.huffman_kernel` — lockstep batch byte-Huffman
+  decode over :class:`~repro.entropy.huffman.HuffmanDecoder`'s table.
 
 Selection is dynamic: every dispatch site calls :func:`fastpath_enabled`
 so the environment variable ``REPRO_FASTPATH=0`` is an *escape hatch*
 that reinstates the reference implementations at any point, even
-mid-process (the differential tests flip it per-case).  The reference
+mid-process (the differential tests flip it per-case); the lockstep
+batch kernels engage from :func:`batch_min` blocks up.  The reference
 code is the oracle — golden-vector and hypothesis differential tests pin
 the two paths to byte equality.
 
@@ -37,6 +40,11 @@ import os
 FASTPATH_VERSION = 1
 
 
+#: Measured crossover below which the lockstep batch kernels lose to the
+#: scalar loops (each numpy call costs ~1µs regardless of batch size).
+DEFAULT_BATCH_MIN = 96
+
+
 def fastpath_enabled() -> bool:
     """True unless the ``REPRO_FASTPATH=0`` escape hatch is set.
 
@@ -46,4 +54,22 @@ def fastpath_enabled() -> bool:
     return os.environ.get("REPRO_FASTPATH", "1") != "0"
 
 
-__all__ = ["FASTPATH_VERSION", "fastpath_enabled"]
+def batch_min() -> int:
+    """Batch size at which the lockstep kernels engage.
+
+    ``REPRO_BATCH_MIN`` overrides the measured default — set it to ``1``
+    to force the vectorised path (the differential tests do, so small
+    ragged batches exercise the lockstep code), or very high to pin the
+    scalar loops.
+    """
+    raw = os.environ.get("REPRO_BATCH_MIN")
+    if raw is None:
+        return DEFAULT_BATCH_MIN
+    try:
+        return max(1, int(raw))
+    except ValueError:
+        return DEFAULT_BATCH_MIN
+
+
+__all__ = ["DEFAULT_BATCH_MIN", "FASTPATH_VERSION", "batch_min",
+           "fastpath_enabled"]

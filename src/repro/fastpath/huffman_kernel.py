@@ -1,106 +1,56 @@
-"""Table-driven batch byte-Huffman decode.
+"""Lockstep batch byte-Huffman decode.
 
-The reference :class:`repro.entropy.huffman.HuffmanDecoder` probes a
-``(length, word)`` dictionary one bit at a time — fine for one block,
-but the service decodes whole batches of independent blocks against one
-shared canonical table.  This kernel compiles the code into a flat
-``2**L`` lookup table (``L`` = longest codeword): every L-bit window of
-the stream maps directly to ``(symbol, length)``, so decoding one symbol
-is a single gather.  Blocks then decode in lockstep across the batch —
-cache blocks all hold the same number of symbols (bar the tail), so one
-vectorised gather/advance step per symbol position serves every block at
-once, with finished blocks masked out.
-
-The flat table is only built for sane codes (complete enough to check,
-symbols in byte range, ``L`` ≤ :data:`MAX_TABLE_BITS`); anything else —
-and any block that trips an invalid window or overruns its payload —
-falls back to the reference decoder so corrupted streams raise the exact
-reference :class:`~repro.resilience.errors.CorruptedStreamError`.
-Differential tests pin byte-identity between both paths.
+:class:`repro.entropy.huffman.HuffmanDecoder` decodes a symbol by one
+lookup of the next ``L``-bit window in a flat ``2**L`` table.  Cache
+blocks all hold the same number of symbols (bar the tail), so a batch
+of blocks sharing one code runs that lookup as one vectorised
+gather/advance step per symbol position across every block, reading
+the decoder's table through numpy views.  The numpy calls cost about
+the same for any batch, so this only pays from
+:func:`repro.fastpath.batch_min` blocks up.  A non-byte symbol, a window
+no codeword covers, or a cursor overrun hands the batch back to the
+scalar decoder, which raises the exact error.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-#: Longest codeword the flat table will materialise (2**16 entries).
-MAX_TABLE_BITS = 16
-
-_TABLE_ATTR = "_fastpath_decode_table"
-
-
-def compile_decode_table(code) -> Optional[Tuple[np.ndarray, np.ndarray, int]]:
-    """Flatten a canonical :class:`HuffmanCode` into gatherable arrays.
-
-    Returns ``(symbols, lengths, L)`` where indexing either array with an
-    L-bit stream window yields the decoded symbol and its codeword
-    length, or ``None`` when the code is unsuitable for the fast table
-    (too deep, empty, or holding non-byte symbols — the reference
-    decoder owns those paths, including their error behaviour).  Cached
-    on the code object: the service decodes many batches per table.
-    """
-    cached = getattr(code, _TABLE_ATTR, None)
-    if cached is not None:
-        return cached if cached != () else None
-    result = _build_table(code)
-    # HuffmanCode is a frozen dataclass; object.__setattr__ is the
-    # sanctioned way to memoise on one (same pattern as compiled_model).
-    object.__setattr__(code, _TABLE_ATTR, result if result is not None else ())
-    return result
-
-
-def _build_table(code) -> Optional[Tuple[np.ndarray, np.ndarray, int]]:
-    lengths = code.lengths
-    if not lengths:
-        return None
-    max_length = max(lengths.values())
-    if max_length == 0 or max_length > MAX_TABLE_BITS:
-        return None
-    if any(s < 0 or s > 255 for s in lengths):
-        # bytes() must reject out-of-range symbols with the reference
-        # error; keep those tables on the reference path.
-        return None
-    size = 1 << max_length
-    symbols = np.zeros(size, dtype=np.int64)
-    spans = np.zeros(size, dtype=np.int64)  # 0 marks an invalid window
-    for symbol, length in lengths.items():
-        first = code.codewords[symbol] << (max_length - length)
-        last = first + (1 << (max_length - length))
-        symbols[first:last] = symbol
-        spans[first:last] = length
-    return symbols, spans, max_length
+from repro.entropy.huffman import HuffmanDecoder
 
 
 def decode_blocks_fast(
-    table: Tuple[np.ndarray, np.ndarray, int],
+    decoder: HuffmanDecoder,
     payloads: Sequence[bytes],
     counts: Sequence[int],
 ) -> Optional[List[bytes]]:
-    """Lockstep batch decode; ``None`` when any block needs the reference.
+    """Lockstep batch decode; ``None`` when any block (or a code with no
+    flat table) needs the scalar decoder.
 
-    Per symbol step: gather each live block's next L-bit window (three
-    byte loads around its bit cursor), look up symbol and length, store
-    the symbol, advance the cursor by the length.  A zero length marks a
-    window no codeword covers, and a cursor past the payload means the
-    stream ran dry mid-block — either way the whole batch is handed back
-    to the reference decoder so the failing block raises its exact
-    reference error (blocks are re-decoded in caller order, preserving
-    which error surfaces first).
+    Per symbol step: gather each live block's next L-bit window, look
+    up symbol and length, store the symbol, advance the cursor by the
+    length.
     """
-    symbols, spans, max_length = table
+    table = decoder.table
+    if table is None:
+        return None
+    symbols = np.frombuffer(table[0], dtype=np.int64)
+    spans = np.frombuffer(table[1], dtype=np.uint8)
+    max_length = table[2]
     batch = len(payloads)
-    if batch == 0:
-        return []
     max_count = max(counts)
-    if max_count == 0:
-        return [b"" for _ in payloads]
-    stride = max(len(p) for p in payloads) + 4
+    # A cursor moves at most L bits a step, so no window of any block
+    # reaches past its own stripe (and an overrun is caught at the end).
+    longest = max(len(p) for p in payloads)
+    stride = max(longest, (max_count * max_length) >> 3) + 3
     padded = bytearray(batch * stride)
     for i, payload in enumerate(payloads):
         padded[i * stride : i * stride + len(payload)] = payload
     flat = np.frombuffer(bytes(padded), dtype=np.uint8).astype(np.int64)
+    # The 24 bits starting at each byte: one gather covers any window.
+    flat = (flat[:-2] << 16) | (flat[1:-1] << 8) | flat[2:]
     bit_limit = np.asarray([len(p) * 8 for p in payloads], dtype=np.int64)
     cn = np.asarray(counts, dtype=np.int64)
     base = np.arange(batch, dtype=np.int64) * stride
@@ -111,7 +61,7 @@ def decode_blocks_fast(
     pos = np.empty(batch, dtype=np.int64)
     window = np.empty(batch, dtype=np.int64)
     t1 = np.empty(batch, dtype=np.int64)
-    step = np.empty(batch, dtype=np.int64)
+    step = np.empty(batch, dtype=np.uint8)
     live = np.empty(batch, dtype=bool)
     bad = np.empty(batch, dtype=bool)
 
@@ -120,14 +70,6 @@ def decode_blocks_fast(
         np.right_shift(cursor, 3, out=pos)
         pos += base
         np.take(flat, pos, out=window)
-        window <<= 8
-        pos += 1
-        np.take(flat, pos, out=t1)
-        window |= t1
-        window <<= 8
-        pos += 1
-        np.take(flat, pos, out=t1)
-        window |= t1
         # Align the window: drop the bits already consumed within the
         # first byte, keep the top ``max_length``.
         np.bitwise_and(cursor, 7, out=t1)
@@ -144,6 +86,9 @@ def decode_blocks_fast(
         np.multiply(step, live, out=step)
         cursor += step
     if bool((cursor > bit_limit).any()):
+        return None
+    decoded = np.arange(max_count) < cn[:, None]
+    if bool(((out < 0) | (out > 255))[decoded].any()):
         return None
     return [
         out[i, : counts[i]].astype(np.uint8).tobytes() for i in range(batch)

@@ -41,7 +41,7 @@ scalar index *per coded bit* (``walk_encode`` → ``p0_quantized`` →
 The lockstep step has a fixed numpy-call cost per scheduled bit that is
 (nearly) independent of the batch size, while the scalar loops scale
 linearly in it — so vectorisation only wins above a crossover batch
-(roughly 10²  blocks; override with ``REPRO_BATCH_MIN``).  Below the
+(:func:`repro.fastpath.batch_min` blocks).  Below the
 threshold the batch entry points fall back to the fused scalar loops, so
 small batches never regress.
 
@@ -51,44 +51,22 @@ output is bit-identical; the golden-vector and differential tests pin it.
 
 from __future__ import annotations
 
-import os
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.entropy.arith import PROB_BITS, flush_interval
 from repro.core.samc.model import SamcModel
+from repro.fastpath import batch_min
 from repro.obs import get_recorder
 
 _MASK = 0xFFFFFFFF
 _TOP = 1 << 24
 _BOT = 1 << 16
 
-#: Measured crossover below which the lockstep batch kernels lose to the
-#: fused scalar loops (each numpy call costs ~1µs regardless of batch
-#: size, so the vectorised step only amortises over enough blocks).
-DEFAULT_BATCH_MIN = 96
-
 #: Streams deeper than this would need oversized prefix-deposit LUTs
 #: (2**k entries); no real configuration comes close, but stay safe.
 _MAX_LUT_DEPTH = 12
-
-
-def batch_min() -> int:
-    """Batch size at which the lockstep kernels engage.
-
-    ``REPRO_BATCH_MIN`` overrides the measured default — set it to ``1``
-    to force the vectorised path (the differential tests do, so small
-    ragged batches exercise the lockstep code), or very high to pin the
-    scalar loops.
-    """
-    raw = os.environ.get("REPRO_BATCH_MIN")
-    if raw is None:
-        return DEFAULT_BATCH_MIN
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return DEFAULT_BATCH_MIN
 
 
 def _walk_arrays(
@@ -393,9 +371,11 @@ class CompiledSamcModel:
         saving one vector op per bit); finished blocks (past their word
         count) are masked out of renormalisation, so their read pointers
         freeze and live blocks march through *exactly* the scalar byte
-        sequence.  Payload bytes live in one flat zero-padded array with
-        a per-block stride — the same "reads past the end see zeros"
-        convention as the scalar loop.
+        sequence.  Payload bytes live in one flat array with a per-block
+        stride, each payload followed by at least one zero byte; every
+        gather index is clamped to that byte, so however far a corrupt
+        block renormalises, reads past its own payload see zeros — the
+        scalar loop's convention — and never its neighbour's bytes.
         """
         batch = len(payloads)
         if batch == 0:
@@ -403,7 +383,7 @@ class CompiledSamcModel:
         max_words = max(word_counts)
         if max_words == 0:
             return [[] for _ in payloads]
-        stride = max(len(p) for p in payloads) + 8
+        stride = max(len(p) for p in payloads) + 1
         padded = bytearray(batch * stride)
         for i, payload in enumerate(payloads):
             padded[i * stride : i * stride + len(payload)] = payload
@@ -414,9 +394,13 @@ class CompiledSamcModel:
         rng = np.full(batch, _MASK, dtype=np.int64)
         D = np.zeros(batch, dtype=np.int64)
         pos = np.arange(batch, dtype=np.int64) * stride
+        # Index of the zero byte after each payload: reads clamp to it.
+        end = pos + np.asarray([len(p) for p in payloads], dtype=np.int64)
+        gather = np.empty(batch, dtype=np.int64)
         for _ in range(4):
             D <<= 8
-            D |= flat.take(pos)
+            np.minimum(pos, end, out=gather)
+            D |= flat.take(gather)
             pos += 1
         context = np.zeros(batch, dtype=np.int64)
         words = np.zeros((batch, max_words), dtype=np.int64)
@@ -482,7 +466,8 @@ class CompiledSamcModel:
                             t1 &= _BOT - 1
                             np.copyto(rng, t1, where=need)
                         np.left_shift(D, 8, out=t1)
-                        t1 |= flat.take(pos)
+                        np.minimum(pos, end, out=gather)
+                        t1 |= flat.take(gather)
                         t1 &= _MASK
                         np.copyto(D, t1, where=shift_in)
                         pos += shift_in

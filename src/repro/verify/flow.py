@@ -76,6 +76,7 @@ CONSUMING_METHODS = frozenset({
     "read_bytes",
     "readexactly",
     "decode_from",
+    "decode_symbol",
     "pop",
     "popleft",
     "next_byte",

@@ -137,7 +137,7 @@ def test_samc_encode_blocks_vec_vs_scalar(data, words_per_block):
 
 
 # ---------------------------------------------------------------------------
-# Byte-Huffman: table-driven batch decode vs the probing decoder
+# Byte-Huffman: lockstep batch decode vs the per-block decoder
 
 @settings(max_examples=25, deadline=None)
 @given(st.binary(min_size=1, max_size=400))
@@ -149,7 +149,7 @@ def test_byte_huffman_decompress_blocks_differential(data):
     with _env(REPRO_FASTPATH="0"):
         expected = [codec.decompress_block(image, i) for i in ragged]
         assert codec.decompress_blocks(image, ragged) == expected
-    with _env(REPRO_FASTPATH="1"):
+    with _env(REPRO_FASTPATH="1", REPRO_BATCH_MIN="1"):
         assert codec.decompress_blocks(image, ragged) == expected
         assert codec.decompress_blocks(image, []) == []
     assert b"".join(expected[: len(indices)]) == data
@@ -180,8 +180,24 @@ def test_byte_huffman_corruption_differential(data, position, flip):
 
     with _env(REPRO_FASTPATH="0"):
         expected = outcome()
-    with _env(REPRO_FASTPATH="1"):
+    with _env(REPRO_FASTPATH="1", REPRO_BATCH_MIN="1"):
         assert outcome() == expected
+
+
+def test_byte_huffman_batch_overrun_matches_loop():
+    """Payloads far shorter than their symbol counts: the lockstep
+    cursors run past every stripe, and the batch must still hand back
+    to the loop (truncated), not index past its buffer."""
+    codec = ByteHuffmanCodec(block_size=32)
+    image = codec.compress(bytes(range(256)) * 4)
+    image.blocks = [block[:1] for block in image.blocks]
+    indices = list(range(image.block_count()))
+    for overrides in ({"REPRO_FASTPATH": "0"},
+                      {"REPRO_FASTPATH": "1", "REPRO_BATCH_MIN": "1"}):
+        with _env(**overrides):
+            with pytest.raises(CorruptedStreamError) as caught:
+                codec.decompress_blocks(image, indices)
+            assert caught.value.category == "truncated"
 
 
 # ---------------------------------------------------------------------------

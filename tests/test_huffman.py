@@ -4,11 +4,13 @@ import math
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bitstream.io import BitReader, BitWriter
 from repro.entropy.huffman import (
+    MAX_TABLE_BITS,
+    HuffmanCode,
     HuffmanDecoder,
     HuffmanEncoder,
     build_code,
@@ -17,6 +19,7 @@ from repro.entropy.huffman import (
     code_lengths,
 )
 from repro.entropy.stats import entropy_bits
+from repro.resilience.errors import CorruptedStreamError
 
 
 class TestCodeLengths:
@@ -148,3 +151,136 @@ def test_table_bits_accounting():
 def test_mean_length_empty_counts():
     code = build_code({0: 1})
     assert code.mean_length({}) == 0.0
+
+
+# -- flat table vs bit walk ---------------------------------------------------
+#
+# The table decoder's private bit walk is its specification: on any
+# table — overfull, non-prefix, duplicate codewords, codewords wider
+# than their length, deeper than the flat table — and any bytes, the
+# table must decode the same symbols, stop at the same bit position,
+# and fail with the same exception (type, category, offset).
+
+
+@st.composite
+def _codes(draw):
+    lengths = draw(st.dictionaries(
+        st.integers(0, 300), st.integers(1, 20), max_size=24,
+    ))
+    if draw(st.booleans()):
+        codewords = canonical_codewords(lengths)
+    else:
+        # Arbitrary words: duplicates, collisions, words too wide or
+        # negative.
+        codewords = {
+            symbol: draw(st.integers(-1, (1 << (length + 1)) - 1))
+            for symbol, length in lengths.items()
+        }
+    return HuffmanCode(lengths=lengths, codewords=codewords)
+
+
+_ops = st.lists(
+    st.one_of(st.just(0), st.integers(1, 13)), min_size=1, max_size=40,
+)
+
+
+def _run(code, data, pad, ops, oracle):
+    """Apply ``ops`` (0 = one symbol, k > 0 = ``read_bits(k)``)."""
+    decoder = HuffmanDecoder(code)
+    reader = BitReader(data, pad=pad)
+    results = []
+    try:
+        for op in ops:
+            if op:
+                results.append(("bits", reader.read_bits(op)))
+            elif oracle:
+                results.append(("sym", decoder._walk_symbol(reader)))
+            else:
+                results.append(("sym", decoder.decode_symbol(reader)))
+    except CorruptedStreamError as error:
+        results.append(("corrupt", error.category, error.offset))
+    except EOFError as error:
+        results.append(("eof", str(error)))
+    return results, reader.bit_position
+
+
+@settings(max_examples=400, deadline=None)
+@given(_codes(), st.binary(max_size=12), st.booleans(), _ops)
+def test_table_matches_walk_interleaved(code, data, pad, ops):
+    assert _run(code, data, pad, ops, oracle=False) == _run(
+        code, data, pad, ops, oracle=True
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_codes(), st.binary(max_size=12), st.integers(0, 30))
+def test_decode_from_matches_walk(code, data, count):
+    def run(oracle):
+        decoder = HuffmanDecoder(code)
+        reader = BitReader(data)
+        try:
+            if oracle:
+                out = [decoder._walk_symbol(reader) for _ in range(count)]
+            else:
+                out = decoder.decode_from(reader, count)
+        except CorruptedStreamError as error:
+            out = ("corrupt", error.category, error.offset)
+        except EOFError:
+            out = "eof"
+        return out, reader.bit_position
+
+    assert run(oracle=False) == run(oracle=True)
+
+
+def test_table_edge_cases():
+    # Single symbol, empty table, deeper than the flat table.
+    single = build_code({5: 1})
+    assert HuffmanDecoder(single).decode(b"\x00", 8) == [5] * 8
+    assert HuffmanDecoder(single).table is not None
+    empty = HuffmanCode(lengths={}, codewords={})
+    assert HuffmanDecoder(empty).table is None
+    with pytest.raises(CorruptedStreamError):
+        HuffmanDecoder(empty).decode(b"\x00", 1)
+    deep_lengths = {s: s + 1 for s in range(MAX_TABLE_BITS + 1)}
+    deep_lengths[MAX_TABLE_BITS + 1] = MAX_TABLE_BITS + 1
+    deep = HuffmanCode(deep_lengths, canonical_codewords(deep_lengths))
+    assert HuffmanDecoder(deep).table is None
+    symbols = [0, MAX_TABLE_BITS + 1, 3, MAX_TABLE_BITS]
+    encoded = HuffmanEncoder(deep).encode(symbols)
+    assert HuffmanDecoder(deep).decode(encoded, 4) == symbols
+
+
+def test_shortest_duplicate_and_wide_codewords_follow_walk():
+    # 0 -> "0" shadows 1 -> "01"; 2 and 3 share "11" (the walk's dict
+    # keeps the last); 4's word does not fit its length.
+    code = HuffmanCode(
+        lengths={0: 1, 1: 2, 2: 2, 3: 2, 4: 2},
+        codewords={0: 0b0, 1: 0b01, 2: 0b11, 3: 0b11, 4: 0b100},
+    )
+    reader = BitReader(bytes([0b01111000]))
+    assert HuffmanDecoder(code).decode_from(reader, 4) == [0, 3, 3, 0]
+    assert HuffmanDecoder(code).decode_from(BitReader(b"\xc0"), 1) == [3]
+
+
+def test_compiled_once_and_invisible():
+    code = build_code({i: i + 1 for i in range(40)})
+    twin = build_code({i: i + 1 for i in range(40)})
+    before = repr(code)
+    first = HuffmanDecoder(code).table
+    assert HuffmanDecoder(code).table[0] is first[0]
+    assert repr(code) == before
+    assert code == twin
+    with pytest.raises(TypeError):
+        hash(code)  # dict fields: unhashable before and after
+
+
+def test_truncated_codeword_raises_eof_at_walk_position():
+    code = build_code({0: 1, 1: 1, 2: 1, 3: 1, 4: 8})
+    long_symbol = max(code.lengths, key=code.lengths.get)
+    writer = BitWriter()
+    HuffmanEncoder(code).encode_to(writer, [long_symbol] * 3)
+    data = writer.getvalue()[:-1]
+    reader = BitReader(data)
+    with pytest.raises(EOFError):
+        HuffmanDecoder(code).decode_from(reader, 3)
+    assert reader.bit_position == 8 * len(data)
